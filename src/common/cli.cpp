@@ -51,13 +51,13 @@ bool CliParser::parse(int argc, const char* const* argv) {
     if (!opt) throw std::invalid_argument("unknown option --" + name);
     if (opt->is_flag) {
       if (has_value) throw std::invalid_argument("flag --" + name + " takes no value");
-      values_[name] = "1";
+      values_.insert_or_assign(std::move(name), std::string("1"));
     } else {
       if (!has_value) {
         if (i + 1 >= argc) throw std::invalid_argument("option --" + name + " needs a value");
         value = argv[++i];
       }
-      values_[name] = value;
+      values_.insert_or_assign(std::move(name), std::move(value));
     }
   }
   return true;

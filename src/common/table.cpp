@@ -19,7 +19,7 @@ std::string format_double(double value, int precision) {
     while (!s.empty() && s.back() == '0') s.pop_back();
     if (!s.empty() && s.back() == '.') s.pop_back();
   }
-  if (s == "-0") s = "0";
+  if (s == "-0") return "0";
   return s;
 }
 

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/prng.hpp"
 #include "hsg/host_switch_graph.hpp"
 
 namespace orp {
@@ -41,20 +40,5 @@ std::vector<std::uint32_t> switch_degree_distribution(const HostSwitchGraph& g);
 /// fixed source, summed over all host-bearing pairs — a cheap path
 /// diversity indicator (higher = more ECMP choice).
 double average_shortest_path_multiplicity(const HostSwitchGraph& g);
-
-/// Monte-Carlo link-failure study: in each trial, every switch-switch
-/// cable fails independently with probability `failure_rate`; report how
-/// often some host pair disconnects and, over the surviving trials, the
-/// mean h-ASPL inflation relative to the healthy network. Randomized
-/// topologies degrade gracefully; low-redundancy structures (trees) snap.
-struct FaultImpact {
-  double disconnect_probability = 0.0;   ///< trials with unreachable hosts
-  double mean_haspl_inflation = 0.0;     ///< (faulty / healthy) - 1, connected trials
-  double max_haspl_inflation = 0.0;
-  int connected_trials = 0;
-};
-
-FaultImpact link_failure_impact(const HostSwitchGraph& g, double failure_rate,
-                                int trials, Xoshiro256& rng);
 
 }  // namespace orp

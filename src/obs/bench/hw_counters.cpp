@@ -1,5 +1,7 @@
 #include "obs/bench/hw_counters.hpp"
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <tuple>
 #include <utility>
@@ -124,9 +126,21 @@ CpuTimes process_cpu_times() noexcept {
 }
 
 std::int64_t peak_rss_kb() noexcept {
-  rusage usage;
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return static_cast<std::int64_t>(usage.ru_maxrss);  // kilobytes on Linux
+  // VmHWM belongs to this process image. getrusage's ru_maxrss survives
+  // execve, so a binary started by a bigger parent would report the
+  // parent's peak instead of its own.
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (!status) return 0;
+  std::int64_t kb = 0;
+  char line[256];
+  while (std::fgets(line, sizeof line, status)) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      kb = std::strtoll(line + 6, nullptr, 10);  // "VmHWM:   1234 kB"
+      break;
+    }
+  }
+  std::fclose(status);
+  return kb;
 }
 
 #else  // !__linux__ — no perf events, no rusage guarantees.

@@ -62,7 +62,8 @@ struct CpuTimes {
 };
 CpuTimes process_cpu_times() noexcept;
 
-/// Resident-set high-watermark of this process in kilobytes (ru_maxrss).
+/// Resident-set high-watermark of this process image in kilobytes
+/// (VmHWM from /proc/self/status; 0 where that is unavailable).
 std::int64_t peak_rss_kb() noexcept;
 
 }  // namespace orp::obs::bench

@@ -3,7 +3,6 @@
 #include "obs/ledger.hpp"
 
 #include <fcntl.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "obs/bench/hw_counters.hpp"
 #include "obs/bench/provenance.hpp"
 #include "obs/sink.hpp"
 
@@ -43,9 +43,7 @@ std::string utc_timestamp() {
   std::tm tm{};
   gmtime_r(&now, &tm);
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02dZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec);
+  if (std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm) == 0) return {};
   return buf;
 }
 
@@ -59,12 +57,6 @@ std::string format_number(double value) {
   os.precision(9);
   os << value;
   return os.str();
-}
-
-std::int64_t peak_rss_kb() {
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return static_cast<std::int64_t>(usage.ru_maxrss);  // kB on Linux
 }
 
 void upsert_note(std::string_view key, std::string value_json) {
@@ -185,7 +177,7 @@ bool append_run_ledger() {
   line += ",\"cpu\":" + jquoted(prov.cpu_model);
   line += ",\"threads\":" + std::to_string(prov.hardware_threads);
   line += ",\"wall_s\":" + format_number(wall_s);
-  line += ",\"peak_rss_kb\":" + std::to_string(peak_rss_kb());
+  line += ",\"peak_rss_kb\":" + std::to_string(bench::peak_rss_kb());
   line += ",\"notes\":{";
   for (std::size_t i = 0; i < s.notes.size(); ++i) {
     if (i) line += ',';

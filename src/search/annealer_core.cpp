@@ -197,7 +197,7 @@ void SaChain::commit(const HostMetrics& cand) {
 
 // Incremental h-ASPL evaluation (the default): the evaluator mirrors
 // `current_` and repairs its distance state per move. It is exact, so the
-// search trajectory is bit-identical to --eval full.
+// search trajectory is bit-identical to the kFull oracle.
 HostMetrics SaChain::evaluate_move(const GraphDelta& delta) {
   obs::ScopedTimer timer(AnnealerInstruments::get().eval_ns);
   if (delta_eval_) return delta_eval_->apply(delta);
@@ -340,9 +340,15 @@ void SaChain::adopt(const HostSwitchGraph& g, const HostMetrics& metrics) {
 void SaChain::finish_telemetry() { emit_window(iteration_); }
 
 AnnealResult SaChain::take_result() {
-  AnnealResult result{std::move(best_), best_metrics_, evaluations_, accepted_,
-                      std::move(trace_), interrupted_};
-  return result;
+  return AnnealResult{.best = std::move(best_),
+                      .best_metrics = best_metrics_,
+                      .evaluations = evaluations_,
+                      .accepted = accepted_,
+                      .trace = std::move(trace_),
+                      .interrupted = interrupted_,
+                      .replicas = {},
+                      .round_best_haspl = {},
+                      .best_replica = 0};
 }
 
 }  // namespace orp

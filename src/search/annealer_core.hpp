@@ -1,10 +1,9 @@
 #pragma once
-// Step-able simulated-annealing chain — the §5 hot loop factored out of
-// anneal() so that multiple chains can interleave.
+// Step-able simulated-annealing chain — the §5 hot loop, factored out so
+// that multiple chains can interleave.
 //
-// anneal() drives one SaChain to completion; the replica-exchange backend
-// (search/parallel.hpp) drives K of them in swap_interval-sized chunks,
-// exchanging configurations at deterministic barriers. The chain owns
+// anneal() drives K of them (K = 1 by default) in swap_interval-sized
+// chunks, exchanging configurations at deterministic barriers. The chain owns
 // everything one walk needs — graph copy, edge list, PRNG stream,
 // DeltaHasplEvaluator, cooling state, best-so-far — and exposes exactly
 // the hooks the exchange protocol requires: run a bounded number of
@@ -41,8 +40,8 @@ struct TemperatureSchedule {
 /// positive temperatures pass through; zeros auto-calibrate by probing
 /// random moves of the options' own move type from `initial` (probe PRNG
 /// seeded options.seed ^ 0xa5a5a5a5, full metric evaluation), setting T0
-/// to ~2x the mean |delta| and T_final to T0/1000 — exactly the serial
-/// annealer's behaviour, so one calibration can be shared by K replicas.
+/// to ~2x the mean |delta| and T_final to T0/1000. options.iterations is
+/// one chain's move count; one calibration is shared by all K rungs.
 TemperatureSchedule calibrate_schedule(const HostSwitchGraph& initial,
                                        const HostMetrics& initial_metrics,
                                        const AnnealOptions& options);
@@ -51,19 +50,19 @@ class SaChain {
  public:
   struct Config {
     TemperatureSchedule schedule;
-    /// Metropolis temperature multiplier — the chain's rung on a
-    /// replica-exchange ladder. 1.0 reproduces the serial annealer.
+    /// Metropolis temperature multiplier — the chain's rung on the
+    /// replica-exchange ladder. Rung 0 runs at exactly 1.0.
     double temperature_scale = 1.0;
     /// Emit the windowed annealer.* tracer series. Exactly one chain per
-    /// search should own them (the serial chain, or ladder position 0).
+    /// search should own them (ladder position 0).
     bool emit_obs_window = true;
   };
 
   /// Snapshots `initial` (fully attached, connected; `initial_metrics`
   /// must be its metrics) and prepares the walk: collects the edge list,
   /// seeds the PRNG from options.seed, and builds the incremental
-  /// evaluator when options.eval is kDelta. Counts the initial evaluation,
-  /// matching anneal()'s result.evaluations accounting.
+  /// evaluator when options.eval is kDelta. evaluations() starts at 1,
+  /// counting the initial evaluation.
   SaChain(const HostSwitchGraph& initial, const HostMetrics& initial_metrics,
           const AnnealOptions& options, const Config& config);
 
@@ -71,16 +70,11 @@ class SaChain {
   /// shutdown_requested(). Returns the number of iterations executed.
   std::uint64_t run(std::uint64_t count);
 
-  bool finished() const noexcept {
-    return interrupted_ || iteration_ >= options_.iterations;
-  }
   bool interrupted() const noexcept { return interrupted_; }
   std::uint64_t iteration() const noexcept { return iteration_; }
   std::uint64_t evaluations() const noexcept { return evaluations_; }
   std::uint64_t accepted() const noexcept { return accepted_; }
 
-  const HostSwitchGraph& current() const noexcept { return current_; }
-  const HostMetrics& current_metrics() const noexcept { return current_metrics_; }
   const HostSwitchGraph& best() const noexcept { return best_; }
   const HostMetrics& best_metrics() const noexcept { return best_metrics_; }
 
@@ -98,7 +92,6 @@ class SaChain {
   double temperature() const noexcept {
     return temperature_ * config_.temperature_scale;
   }
-  double temperature_scale() const noexcept { return config_.temperature_scale; }
 
   /// Replica exchange: swaps the *configurations* (graph, edge list,
   /// metrics, evaluator) of two chains. PRNG streams, cooling state, and

@@ -19,27 +19,23 @@
 
 #include "hsg/metrics.hpp"
 #include "search/annealer.hpp"
-#include "search/parallel.hpp"
 
 namespace orp {
 
 struct SolveOptions {
   std::uint64_t iterations = 20000;   ///< SA move budget per restart (total
-                                      ///< across replicas for kPool)
+                                      ///< across the replicas)
   int restarts = 1;                   ///< independent SA runs; best kept
   std::uint64_t seed = 1;
-  /// Search engine per restart: kSerial runs one annealing chain; kPool
-  /// runs replica-exchange tempering (search/parallel.hpp) with `replicas`
-  /// rungs splitting the same `iterations` budget, so equal-budget
-  /// comparisons use the same --iters. With kPool the restarts themselves
-  /// run serially — the pool parallelism goes to the replicas.
-  SearchBackend backend = SearchBackend::kSerial;
-  std::uint32_t replicas = 4;         ///< ladder size K (kPool only)
+  /// Ladder size K of each restart's search (AnnealOptions::replicas): 1
+  /// runs the paper's single chain; K > 1 runs replica-exchange tempering
+  /// with the K rungs splitting the same `iterations` budget. With K = 1
+  /// the pool runs several restarts concurrently (a lone restart gets it
+  /// for its metric kernel); with K > 1 the restarts run serially and the
+  /// pool fans out the replicas.
+  std::uint32_t replicas = 1;
   std::uint64_t swap_interval = 512;  ///< moves between exchange barriers
   MoveMode mode = MoveMode::kTwoNeighborSwing;
-  /// Escape hatch for the incremental evaluator (--eval full in the bench
-  /// binaries); kDelta is exact and the default.
-  EvalStrategy eval = EvalStrategy::kDelta;
   AsplKernel kernel = AsplKernel::kAuto;
   ThreadPool* pool = nullptr;
   std::optional<std::uint32_t> force_switch_count;

@@ -1,6 +1,7 @@
 // Tests for the fault-injection subsystem: deterministic draws, cabinet
 // correlation, degraded-graph construction, resilience reports, event
-// scheduling, and the Monte-Carlo sweep.
+// scheduling, the Monte-Carlo sweep, and how i.i.d. link failures degrade
+// graphs of different redundancy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "fault/montecarlo.hpp"
 #include "hsg/metrics.hpp"
 #include "search/random_init.hpp"
+#include "topo/torus.hpp"
 
 namespace orp {
 namespace {
@@ -253,6 +255,69 @@ TEST(MonteCarlo, TrialSeedsDiffer) {
   EXPECT_NE(trial_seed(1, 0), trial_seed(1, 1));
   EXPECT_NE(trial_seed(1, 0), trial_seed(2, 0));
   EXPECT_EQ(trial_seed(9, 4), trial_seed(9, 4));
+}
+
+// ---- i.i.d. link failures across topologies ---------------------------------
+
+ResilienceCurvePoint link_sweep(const HostSwitchGraph& g, double rate,
+                                std::uint32_t trials, std::uint64_t seed) {
+  FaultSpec spec;
+  spec.link_failure_rate = rate;
+  spec.seed = seed;
+  return sweep_point(g, spec, trials);
+}
+
+TEST(Resilience, ZeroFailureRateIsHarmless) {
+  const auto g = build_torus(TorusParams{2, 4, 8}, 32);
+  const ResilienceCurvePoint point = link_sweep(g, 0.0, 5, 1);
+  EXPECT_EQ(point.trials, 5u);
+  EXPECT_EQ(point.partitioned_trials, 0u);
+  EXPECT_DOUBLE_EQ(point.max_haspl_inflation, 1.0);  // zero inflation
+  EXPECT_DOUBLE_EQ(point.min_reachable_fraction, 1.0);
+}
+
+TEST(Resilience, FailuresInflateHaspl) {
+  const auto g = build_torus(TorusParams{2, 6, 8}, 36);
+  const ResilienceCurvePoint point = link_sweep(g, 0.08, 20, 2);
+  EXPECT_LT(point.partitioned_trials, point.trials);
+  EXPECT_GT(point.max_haspl_inflation, 1.0);
+  EXPECT_GE(point.max_haspl_inflation, point.p50_haspl_inflation);
+}
+
+TEST(Resilience, TreeSnapsImmediately) {
+  // A path of switches disconnects whenever any inter-switch cable fails.
+  HostSwitchGraph g(4, 4, 4);
+  for (HostId h = 0; h < 4; ++h) g.attach_host(h, h);
+  for (SwitchId s = 0; s + 1 < 4; ++s) g.add_switch_edge(s, s + 1);
+  const ResilienceCurvePoint point = link_sweep(g, 0.5, 40, 3);
+  // 1 - 0.5^3 = 0.875 expected.
+  EXPECT_GT(point.partitioned_trials, point.trials / 2);
+}
+
+TEST(Resilience, RicherGraphsDisconnectLess) {
+  // Same switch count: a ring (degree 2) vs a random saturated graph
+  // (degree ~6) at the same rate — redundancy pays.
+  HostSwitchGraph ring(16, 16, 8);
+  for (HostId h = 0; h < 16; ++h) ring.attach_host(h, h);
+  for (SwitchId s = 0; s < 16; ++s) ring.add_switch_edge(s, (s + 1) % 16);
+  Xoshiro256 init_rng(4);
+  const auto dense = random_host_switch_graph(16, 16, 8, init_rng);
+
+  const ResilienceCurvePoint ring_point = link_sweep(ring, 0.15, 40, 5);
+  const ResilienceCurvePoint dense_point = link_sweep(dense, 0.15, 40, 5);
+  EXPECT_GT(ring_point.partitioned_trials, dense_point.partitioned_trials);
+  EXPECT_LT(ring_point.mean_reachable_fraction, dense_point.mean_reachable_fraction);
+}
+
+TEST(Resilience, RejectsBadArguments) {
+  const auto g = build_torus(TorusParams{2, 4, 8}, 32);
+  EXPECT_THROW(link_sweep(g, 1.5, 5, 1), std::invalid_argument);
+  EXPECT_THROW(link_sweep(g, -0.1, 5, 1), std::invalid_argument);
+  EXPECT_THROW(link_sweep(g, 0.1, 0, 1), std::invalid_argument);
+  HostSwitchGraph split(2, 2, 4);  // two islands: no connected baseline
+  split.attach_host(0, 0);
+  split.attach_host(1, 1);
+  EXPECT_THROW(link_sweep(split, 0.1, 5, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include "common/prng.hpp"
 #include "hsg/io.hpp"
+#include "hsg/metrics.hpp"
+#include "search/odp.hpp"
 #include "search/random_init.hpp"
 
 namespace orp {
@@ -180,6 +182,40 @@ TEST(HsgIo, DotContainsAllVertices) {
   EXPECT_NE(dot.find("h0 -- s0"), std::string::npos);
   EXPECT_NE(dot.find("h1 -- s1"), std::string::npos);
   EXPECT_NE(dot.find("s0 -- s1"), std::string::npos);
+}
+
+// ---- Graph Golf edge-list interop ------------------------------------------
+
+TEST(EdgeList, RoundTripsOdpGraph) {
+  const auto odp = solve_odp(16, 4, {.iterations = 500});
+  std::stringstream buffer;
+  write_edgelist(buffer, odp.graph);
+  const auto loaded = read_edgelist(buffer, 16, 4);
+  loaded.check_invariants();
+  EXPECT_TRUE(loaded == odp.graph);
+}
+
+TEST(EdgeList, ReadsKnownGraph) {
+  std::istringstream in("0 1\n1 2\n2 0  # triangle\n");
+  const auto g = read_edgelist(in, 3, 2);
+  EXPECT_TRUE(g.has_switch_edge(0, 1));
+  EXPECT_TRUE(g.has_switch_edge(1, 2));
+  EXPECT_TRUE(g.has_switch_edge(2, 0));
+  EXPECT_DOUBLE_EQ(compute_switch_metrics(g).aspl, 1.0);
+}
+
+TEST(EdgeList, EnforcesDegreeBound) {
+  std::istringstream in("0 1\n0 2\n0 3\n");  // vertex 0 would need degree 3
+  EXPECT_THROW(read_edgelist(in, 4, 2), std::invalid_argument);
+}
+
+TEST(EdgeList, RejectsMalformedInput) {
+  std::istringstream self("0 0\n");
+  EXPECT_THROW(read_edgelist(self, 2, 2), std::invalid_argument);
+  std::istringstream dup("0 1\n1 0\n");
+  EXPECT_THROW(read_edgelist(dup, 2, 2), std::invalid_argument);
+  std::istringstream range("0 9\n");
+  EXPECT_THROW(read_edgelist(range, 2, 2), std::invalid_argument);
 }
 
 }  // namespace

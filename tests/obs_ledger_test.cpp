@@ -32,7 +32,15 @@ TEST(ObsLedgerDisabled, StubsAreInertNoOps) {
 
 #else
 
+#include <cstring>
+
 #include "common/json.hpp"
+#include "obs/bench/hw_counters.hpp"
+
+#ifdef __linux__
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 namespace orp {
 namespace {
@@ -101,9 +109,11 @@ TEST(ObsLedger, ConcurrentWritersNeverTearLines) {
     ASSERT_GE(writer, 0);
     ASSERT_LT(writer, kThreads);
     EXPECT_EQ(doc.at("pad").as_string(), payload);
-    ++seen[writer];
+    ++seen[static_cast<std::size_t>(writer)];
   }
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t], kPerThread);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], kPerThread);
+  }
   std::remove(path.c_str());
 }
 
@@ -155,6 +165,62 @@ TEST(ObsLedger, AppendRunLedgerWritesOneParsableRecord) {
   EXPECT_EQ(ts[19], 'Z');
   std::remove(path.c_str());
 }
+
+#ifdef __linux__
+// Peak RSS belongs to the process image that reports it. A parent that has
+// touched 64 MiB forks and execs a small child. getrusage's ru_maxrss
+// survives execve, and the forked copy of the parent counts the ballast, so
+// read that way the child claims nearly the parent's peak. Its own peak
+// must sit at least half the ballast below.
+TEST(ObsLedger, PeakRssIsThisProcessImagesOwn) {
+  constexpr std::size_t kBallast = std::size_t{64} << 20;
+  std::vector<char> ballast(kBallast);
+  std::memset(ballast.data(), 1, kBallast);
+  const std::int64_t parent_kb = obs::bench::peak_rss_kb();
+  ASSERT_GE(parent_kb, 64 * 1024);
+
+  const std::string path = testing::TempDir() + "ledger_child.jsonl";
+  std::remove(path.c_str());
+  std::string probe = ORP_PEAK_RSS_PROBE;
+  std::string env = "ORP_RUN_LEDGER=" + path;
+  char* child_argv[] = {probe.data(), nullptr};
+  char* child_env[] = {env.data(), nullptr};
+  int out[2];
+  ASSERT_EQ(pipe(out), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0) << "fork failed";
+  if (pid == 0) {
+    dup2(out[1], STDOUT_FILENO);
+    close(out[0]);
+    close(out[1]);
+    execve(child_argv[0], child_argv, child_env);
+    _exit(127);
+  }
+  close(out[1]);
+  std::string printed;
+  char buf[64];
+  for (ssize_t got; (got = read(out[0], buf, sizeof buf)) > 0;) {
+    printed.append(buf, static_cast<std::size_t>(got));
+  }
+  close(out[0]);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0) << "probe failed";
+  EXPECT_EQ(ballast[kBallast - 1], 1);  // the ballast stayed live
+
+  const std::int64_t below_parent_kb = parent_kb - 32 * 1024;
+  const std::int64_t child_kb = std::stoll(printed);
+  EXPECT_GT(child_kb, 0);
+  EXPECT_LT(child_kb, below_parent_kb);
+  const std::vector<std::string> lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 1u);
+  const double ledger_kb = JsonValue::parse(lines[0]).at("peak_rss_kb").as_number();
+  EXPECT_GT(ledger_kb, 0.0);
+  EXPECT_LT(ledger_kb, static_cast<double>(below_parent_kb));
+  std::remove(path.c_str());
+}
+#endif
 
 }  // namespace
 }  // namespace orp

@@ -2,10 +2,11 @@
 // structural invariants of the result, determinism, mode behaviour.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/prng.hpp"
 #include "hsg/bounds.hpp"
 #include "search/annealer.hpp"
-#include "search/parallel.hpp"
 #include "search/random_init.hpp"
 
 namespace orp {
@@ -18,6 +19,24 @@ AnnealOptions quick(MoveMode mode, std::uint64_t iterations = 1500,
   options.mode = mode;
   options.seed = seed;
   return options;
+}
+
+// FNV-1a over the exact bits of every trace sample.
+std::uint64_t trace_hash(const std::vector<AnnealTracePoint>& trace) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const AnnealTracePoint& p : trace) {
+    mix(p.iteration);
+    mix(std::bit_cast<std::uint64_t>(p.current_haspl));
+    mix(std::bit_cast<std::uint64_t>(p.best_haspl));
+    mix(std::bit_cast<std::uint64_t>(p.temperature));
+  }
+  return hash;
 }
 
 TEST(Annealer, ImprovesOverRandomStart) {
@@ -94,55 +113,42 @@ TEST(Annealer, FullAndDeltaAgree) {
   }
 }
 
-// Differential test against the replica-exchange backend: a one-rung
-// ladder IS the serial annealer. Rung 0 keeps the seed verbatim, its
-// temperature scale is exactly 1.0, the swap schedule is empty, and no
-// restart can fire (the only rung always owns the global best) — so the
-// pool backend at K=1 must reproduce the serial walk bit for bit,
-// including the step-by-step trace.
-TEST(Annealer, PoolBackendWithOneReplicaMatchesSerialExactly) {
-  for (const MoveMode mode :
-       {MoveMode::kSwap, MoveMode::kSwing, MoveMode::kTwoNeighborSwing}) {
-    Xoshiro256 rng_serial(31), rng_pool(31);
-    const auto init_serial = random_host_switch_graph(96, 24, 8, rng_serial);
-    const auto init_pool = random_host_switch_graph(96, 24, 8, rng_pool);
-    ASSERT_TRUE(init_serial == init_pool);
-
-    auto options = quick(mode, 1200, 57);
+// The one-chain search (K=1, the default) is pinned step by step: these
+// constants are the best total length, counters and trace_every=1 trace
+// hash that the standalone single-chain annealer produced on this instance
+// before it became the K=1 case of the replica loop. The walk must also
+// not depend on where the exchange barriers fall.
+TEST(Annealer, OneReplicaTrajectoryMatchesGolden) {
+  struct Golden {
+    MoveMode mode;
+    std::uint64_t total_length, accepted, evaluations, trace_hash;
+  };
+  for (const Golden& golden : {
+           Golden{MoveMode::kSwap, 18560, 275, 1201, 0x8bb05af029dca485ULL},
+           Golden{MoveMode::kSwing, 18559, 221, 1201, 0xa1426e6d3668c6d8ULL},
+           Golden{MoveMode::kTwoNeighborSwing, 18613, 300, 2200,
+                  0xbb2372c2b5ce7139ULL},
+       }) {
+    Xoshiro256 rng(31);
+    const auto initial = random_host_switch_graph(96, 24, 8, rng);
+    auto options = quick(golden.mode, 1200, 57);
     options.trace_every = 1;
-    const auto serial = anneal(init_serial, options);
-
-    ParallelAnnealOptions pool_options;
-    pool_options.base = options;
-    pool_options.replicas = 1;
-    pool_options.swap_interval = 100;  // chunking must not matter
-    const auto pool = parallel_anneal(init_pool, pool_options);
-
-    EXPECT_EQ(pool.best_replica, 0u);
-    EXPECT_TRUE(serial.best == pool.result.best);
-    EXPECT_EQ(serial.accepted, pool.result.accepted);
-    EXPECT_EQ(serial.evaluations, pool.result.evaluations);
-    EXPECT_EQ(serial.best_metrics.total_length,
-              pool.result.best_metrics.total_length);
-    EXPECT_DOUBLE_EQ(serial.best_metrics.h_aspl,
-                     pool.result.best_metrics.h_aspl);
-    ASSERT_EQ(serial.trace.size(), pool.result.trace.size());
-    for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-      EXPECT_EQ(serial.trace[i].iteration, pool.result.trace[i].iteration);
-      EXPECT_DOUBLE_EQ(serial.trace[i].current_haspl,
-                       pool.result.trace[i].current_haspl);
-      EXPECT_DOUBLE_EQ(serial.trace[i].best_haspl,
-                       pool.result.trace[i].best_haspl);
-      EXPECT_DOUBLE_EQ(serial.trace[i].temperature,
-                       pool.result.trace[i].temperature);
+    for (const std::uint64_t interval : {std::uint64_t{100}, std::uint64_t{1000000000}}) {
+      options.swap_interval = interval;
+      const auto result = anneal(initial, options);
+      SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(golden.mode)
+                                      << ", swap_interval " << interval);
+      EXPECT_EQ(result.best_metrics.total_length, golden.total_length);
+      EXPECT_EQ(result.accepted, golden.accepted);
+      EXPECT_EQ(result.evaluations, golden.evaluations);
+      EXPECT_EQ(result.trace.size(), 1200u);
+      EXPECT_EQ(trace_hash(result.trace), golden.trace_hash);
+      EXPECT_EQ(result.best_replica, 0u);
+      ASSERT_EQ(result.replicas.size(), 1u);
+      EXPECT_EQ(result.replicas[0].moves, 1200u);
+      EXPECT_EQ(result.replicas[0].swaps_attempted, 0u);
     }
   }
-}
-
-TEST(Annealer, ParsesEvalStrategyNames) {
-  EXPECT_EQ(parse_eval_strategy("full"), EvalStrategy::kFull);
-  EXPECT_EQ(parse_eval_strategy("delta"), EvalStrategy::kDelta);
-  EXPECT_THROW(parse_eval_strategy("fast"), std::invalid_argument);
 }
 
 TEST(Annealer, SwapModePreservesHostDistribution) {

@@ -66,5 +66,24 @@ TEST(Odp, RejectsDegenerateParameters) {
   EXPECT_THROW(solve_odp(10, 10, quick(10)), std::invalid_argument);
 }
 
+// ---- diameter-then-ASPL objective --------------------------------------------
+
+TEST(DiameterObjective, NeverWorseDiameterThanHasplObjective) {
+  OdpOptions haspl_options{.iterations = 2000, .restarts = 2, .seed = 7,
+                           .objective = AnnealObjective::kHaspl};
+  OdpOptions diameter_options = haspl_options;
+  diameter_options.objective = AnnealObjective::kDiameterThenHaspl;
+  const auto by_haspl = solve_odp(40, 4, haspl_options);
+  const auto by_diameter = solve_odp(40, 4, diameter_options);
+  EXPECT_LE(by_diameter.metrics.diameter, by_haspl.metrics.diameter);
+}
+
+TEST(DiameterObjective, StillRespectsMooreBound) {
+  const auto result = solve_odp(32, 4, {.iterations = 1500,
+                                        .objective = AnnealObjective::kDiameterThenHaspl});
+  EXPECT_GE(result.metrics.aspl, result.moore_aspl_bound - 1e-12);
+  EXPECT_TRUE(result.metrics.connected);
+}
+
 }  // namespace
 }  // namespace orp
